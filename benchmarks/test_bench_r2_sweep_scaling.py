@@ -20,16 +20,19 @@ via git stash; report digests byte-identical across both trees):
 The win stacks three caches: the per-process micro-workload memo
 (topology/TM built once, not per trial), the content-addressed LP
 model cache (constraint matrix assembled once per workload), and the
-per-subset solve memo inside the model.  ``REPRO_MCF_WARM=off`` keeps
-the memo structure but sends every LP through the original cold
-solver, which is what :func:`test_bench_r2_warm_kernels` compares.
+per-subset solve memo inside the model.  :func:`test_bench_r2_warm_kernels`
+keeps the memo structure but swaps the model's template slicing for the
+from-scratch ``linprog`` reference (``tests/netflow/reference_mcf.py``)
+and compares the two.
 """
 
 import os
 import time
 
-from repro.netflow.model import model_cache
+from repro.netflow.model import McfModel, model_cache
 from repro.sweeps import Axis, SweepRunner, SweepSpec
+
+from tests.netflow.reference_mcf import reference_solve_fast
 
 TRIALS = 32
 WORKERS = 4
@@ -96,26 +99,26 @@ def test_bench_r2_sweep_scaling(benchmark, report, tmp_path):
 
 
 def test_bench_r2_warm_kernels(report, monkeypatch):
-    """Warm LP kernels vs the kill switch, identical aggregates.
+    """Warm LP kernels vs the from-scratch reference, identical aggregates.
 
-    Both runs start from a cleared model cache; the ``off`` run keeps
-    the caching *structure* (workload memo, subset memo) but pays the
-    original cold solver for every LP, so the measured ratio is a
-    conservative lower bound on the full before/after speedup in the
-    module docstring.
+    Both runs start from a cleared model cache; the cold run keeps the
+    caching *structure* (workload memo, subset memo) but pays the
+    reference ``linprog`` assembly for every LP, so the measured ratio
+    is a conservative lower bound on the full before/after speedup in
+    the module docstring.
     """
     grid = SweepSpec(
         axes=(Axis("seed", tuple(range(8))),),
         base={"preset": "micro", "constraints": "1", "method": "add-prune"},
     )
 
-    monkeypatch.setenv("REPRO_MCF_WARM", "off")
-    model_cache().clear()
-    start = time.perf_counter()
-    cold = SweepRunner("figure2", workers=0).run(grid)
-    cold_s = time.perf_counter() - start
+    with monkeypatch.context() as patch:
+        patch.setattr(McfModel, "_solve_fast", reference_solve_fast)
+        model_cache().clear()
+        start = time.perf_counter()
+        cold = SweepRunner("figure2", workers=0).run(grid)
+        cold_s = time.perf_counter() - start
 
-    monkeypatch.delenv("REPRO_MCF_WARM")
     model_cache().clear()
     start = time.perf_counter()
     warm = SweepRunner("figure2", workers=0).run(grid)
@@ -123,7 +126,7 @@ def test_bench_r2_warm_kernels(report, monkeypatch):
 
     ratio = cold_s / warm_s if warm_s > 0 else float("inf")
     report(
-        f"8-trial figure2 micro grid: kill-switch {cold_s:.2f}s, "
+        f"8-trial figure2 micro grid: reference LP {cold_s:.2f}s, "
         f"warm {warm_s:.2f}s ({ratio:.1f}x)"
     )
     # The warm path must change the bytes of nothing…

@@ -550,10 +550,12 @@ async def _serve_until_drained(service, args) -> None:
             await service.drain()
             break
         if service.running and not service.draining:
-            health = await service.submit("health")
-            h = health.payload
-            print(f"  v{h['version']} {h['health']}  served={service.served_total} "
-                  f"shed={service.shed_total} breaker={h['breaker_state']}",
+            # Read the published snapshot, not a "health" request: a probe
+            # through admission control takes a queue slot and a journal
+            # record, and a full queue sheds it with an empty payload.
+            snap = service.snapshot
+            print(f"  v{snap.version} {snap.health}  served={service.served_total} "
+                  f"shed={service.shed_total} breaker={snap.breaker_state}",
                   flush=True)
     snap = service.snapshot
     print(f"drained at snapshot v{snap.version} ({snap.health}); "

@@ -3,7 +3,8 @@
 The auction evaluates feasibility of *many* candidate link subsets, so the
 oracle is a first-class, swappable object:
 
-- :class:`MCFOracle` — exact, via the max-concurrent-flow LP.
+- :class:`MCFOracle` — exact, via the node-arc max-concurrent-flow LP
+  of a warm, process-wide :class:`repro.netflow.model.McfModel`.
 - :class:`PathOracle` — the path-column LP of
   :class:`repro.netflow.pathmcf.PathMcfModel`; exact-equivalent verdicts
   by default (infeasible path verdicts re-checked on the node-arc model)
@@ -24,7 +25,6 @@ from typing import Callable, Dict, FrozenSet, Iterable, Optional
 
 from repro.exceptions import FlowError
 from repro.topology.graph import Network
-from repro.netflow.mcf import max_concurrent_flow
 from repro.netflow.model import get_model
 from repro.netflow.pathmcf import PathMcfModel
 from repro.netflow.routing import route_greedy_multipath, route_shortest_path
@@ -86,13 +86,11 @@ class MCFOracle(BaseOracle):
     Solves run on a warm :class:`repro.netflow.model.McfModel` shared
     process-wide by workload content: the 65+ subset queries a single
     selection makes — and every selection over the same (topology, TM)
-    after it — reuse one pre-assembled LP instead of rebuilding scipy's
-    model from scratch per call.  Results are bit-identical to the
-    from-scratch path (property-tested).  With ``short_circuit`` (the
-    default), subsets whose demand provably exceeds a node's incident
-    cut capacity are answered without any LP solve; such verdicts carry
-    ``headroom=0.0`` rather than the exact (sub-1) λ, which no consumer
-    of infeasible verdicts reads.
+    after it — reuse one pre-assembled LP instead of rebuilding it per
+    call.  With ``short_circuit`` (the default), subsets whose demand
+    provably exceeds a node's incident cut capacity are answered without
+    any LP solve; such verdicts carry ``headroom=0.0`` rather than the
+    exact (sub-1) λ, which no consumer of infeasible verdicts reads.
     """
 
     name = "mcf"
@@ -128,14 +126,6 @@ class MCFOracle(BaseOracle):
             )
         self._cache[key] = result
         return result
-
-    def _evaluate(self, subnet: Network) -> FeasibilityResult:
-        result = max_concurrent_flow(subnet, self.tm)
-        return FeasibilityResult(
-            feasible=result.feasible,
-            headroom=result.lam,
-            link_loads=result.link_loads,
-        )
 
 
 class PathOracle(BaseOracle):
@@ -183,9 +173,6 @@ class PathOracle(BaseOracle):
         )
         self._cache[key] = result
         return result
-
-    def _evaluate(self, subnet: Network) -> FeasibilityResult:
-        raise NotImplementedError("PathOracle overrides check() directly")
 
 
 class GreedyOracle(BaseOracle):

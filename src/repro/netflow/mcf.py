@@ -18,6 +18,11 @@ Formulation (node-arc, commodities aggregated by source):
 Aggregating by source keeps the variable count at |arcs| × |sources|
 instead of |arcs| × |pairs|, which is what makes exact feasibility
 affordable for the auction's inner loop at benchmark scale.
+
+There is one implementation of this LP: :class:`repro.netflow.model.McfModel`,
+which orders arcs by sorted link id, so a result depends only on the
+network's content, never on the order its links were inserted in.
+:func:`max_concurrent_flow` is a full-set solve of a fresh model.
 """
 
 from __future__ import annotations
@@ -26,8 +31,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import coo_matrix
 
 from repro.exceptions import FlowError
 from repro.obs import metrics, span
@@ -64,18 +67,6 @@ class MCFResult:
         return self.lam - 1.0
 
 
-def _directed_arcs(network: Network) -> List[Tuple[str, str, str, float, float]]:
-    """Expand undirected links to directed arcs.
-
-    Returns tuples (arc_id, tail, head, capacity, length).
-    """
-    arcs = []
-    for link in network.iter_links():
-        arcs.append((f"{link.id}>f", link.u, link.v, link.capacity_gbps, link.length_km))
-        arcs.append((f"{link.id}>r", link.v, link.u, link.capacity_gbps, link.length_km))
-    return arcs
-
-
 def max_concurrent_flow(
     network: Network,
     tm: TrafficMatrix,
@@ -90,86 +81,15 @@ def max_concurrent_flow(
     retains the per-arc, per-source routing on the result so the
     invariant suite (:mod:`repro.validate.invariants`) can audit flow
     conservation and capacity respect against the LP's own solution.
+
+    A full-set solve of a fresh :class:`repro.netflow.model.McfModel`,
+    deliberately outside the process-wide model cache: one-off callers
+    (planning, chaos, availability, audits) must not evict the warm
+    models the auction's oracles depend on.
     """
-    tm.validate_against(network.node_ids)
-    demands = [(pair, v) for pair, v in tm.pairs() if v > 0]
-    if not demands:
-        return MCFResult(lam=lambda_cap, feasible=True, status=0, message="empty TM")
+    from repro.netflow.model import McfModel
 
-    sources = sorted({src for (src, _), _ in demands})
-    nodes = network.node_ids
-    node_idx = {n: i for i, n in enumerate(nodes)}
-    src_idx = {s: i for i, s in enumerate(sources)}
-    arcs = _directed_arcs(network)
-    n_arcs, n_src, n_nodes = len(arcs), len(sources), len(nodes)
-    if n_arcs == 0:
-        return MCFResult(lam=0.0, feasible=False, status=2, message="no links")
-
-    with span("mcf.build", arcs=n_arcs, sources=n_src, nodes=n_nodes):
-        # Net supply b(s, v).
-        b = np.zeros((n_src, n_nodes))
-        for (src, dst), value in demands:
-            b[src_idx[src], node_idx[src]] += value
-            b[src_idx[src], node_idx[dst]] -= value
-
-        # Variable layout: x[a, s] at index a * n_src + s; λ last.
-        n_x = n_arcs * n_src
-        lam_col = n_x
-
-        eq_rows: List[int] = []
-        eq_cols: List[int] = []
-        eq_vals: List[float] = []
-        # Conservation row index: s * n_nodes + v.
-        for a, (_aid, tail, head, _cap, _len) in enumerate(arcs):
-            ti, hi = node_idx[tail], node_idx[head]
-            for s in range(n_src):
-                col = a * n_src + s
-                eq_rows.append(s * n_nodes + ti)
-                eq_cols.append(col)
-                eq_vals.append(1.0)
-                eq_rows.append(s * n_nodes + hi)
-                eq_cols.append(col)
-                eq_vals.append(-1.0)
-        # -λ·b term.
-        for s in range(n_src):
-            for v in range(n_nodes):
-                if b[s, v] != 0.0:
-                    eq_rows.append(s * n_nodes + v)
-                    eq_cols.append(lam_col)
-                    eq_vals.append(-b[s, v])
-        a_eq = coo_matrix(
-            (eq_vals, (eq_rows, eq_cols)), shape=(n_src * n_nodes, n_x + 1)
-        ).tocsr()
-        b_eq = np.zeros(n_src * n_nodes)
-
-        ub_rows: List[int] = []
-        ub_cols: List[int] = []
-        ub_vals: List[float] = []
-        caps = np.empty(n_arcs)
-        for a, (_aid, _t, _h, cap, _len) in enumerate(arcs):
-            caps[a] = cap
-            for s in range(n_src):
-                ub_rows.append(a)
-                ub_cols.append(a * n_src + s)
-                ub_vals.append(1.0)
-        a_ub = coo_matrix((ub_vals, (ub_rows, ub_cols)), shape=(n_arcs, n_x + 1)).tocsr()
-
-        c = np.zeros(n_x + 1)
-        c[lam_col] = -1.0
-        bounds = [(0, None)] * n_x + [(0, lambda_cap)]
-
-    with span("mcf.solve", variables=n_x + 1):
-        metrics().inc("mcf.solves")
-        res = linprog(
-            c,
-            A_ub=a_ub,
-            b_ub=caps,
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=bounds,
-            method="highs",
-        )
-    return _finish_result(res.x, res.status, res.message, arcs, sources, keep_flows)
+    return McfModel(network, tm, lambda_cap=lambda_cap).solve(keep_flows=keep_flows)
 
 
 def _finish_result(
@@ -180,11 +100,11 @@ def _finish_result(
     sources: List[str],
     keep_flows: bool,
 ) -> MCFResult:
-    """Turn a raw LP solution into an :class:`MCFResult`.
+    """Turn a raw LP solution over ``arcs`` × ``sources`` into an :class:`MCFResult`.
 
-    Shared by the from-scratch path above and the warm-started
-    :class:`repro.netflow.model.McfModel` so both produce bit-identical
-    results from identical solver outputs.
+    Called by :class:`repro.netflow.model.McfModel` after every solve;
+    the from-scratch reference LP under ``tests/netflow/`` shares it, so
+    identical solver outputs give bit-identical results.
     """
     if status not in (0, 3):  # 3 = unbounded cannot happen with the cap
         metrics().inc("mcf.failures")

@@ -1,40 +1,32 @@
-"""Warm-started max-concurrent-flow solving: build the LP once, solve subsets.
+"""The node-arc max-concurrent-flow LP: build it once, solve subsets.
 
-The auction's feasibility oracle asks the *same* (topology, TM) question
-for dozens of overlapping link subsets — bench ab1 counts 65+ LP solves
-per selection, most differing from the previous one by a single dropped
-link.  The from-scratch path in :mod:`repro.netflow.mcf` re-derives the
-node/source indexing, re-assembles the sparse constraint matrix from
-Python lists, and re-enters scipy's ``linprog`` front end (input
-validation, bounds canonicalization, COO→CSR→vstack→CSC conversion) for
-every one of those solves; profiling shows that wrapper overhead dwarfs
-the actual HiGHS runtime roughly 4:1 at micro-benchmark scale.
+This is the repo's only node-arc MCF solver (formulation in
+:mod:`repro.netflow.mcf`, whose :func:`~repro.netflow.mcf.max_concurrent_flow`
+is a full-set solve of a fresh model).  The auction's feasibility oracle
+asks the *same* (topology, TM) question for dozens of overlapping link
+subsets — bench ab1 counts 65+ LP solves per selection, most differing
+from the previous one by a single dropped link — so :class:`McfModel`
+builds everything that does not depend on the link subset exactly once:
 
-:class:`McfModel` builds everything that does not depend on the link
-subset exactly once:
-
-- the sorted-link directed-arc table (the same arc order
-  ``Network.restricted_to_links`` produces, which is what makes warm
-  results bit-identical to from-scratch results — see below);
+- the directed-arc table in sorted-link-id order, forward then reverse
+  per link.  This is the canonical order: results depend only on the
+  network's content, never on the order its links were inserted in;
 - node/source index maps and the net-supply matrix ``b(s, v)``;
 - per-arc row/value templates for the canonical CSC form of the stacked
   ``[A_ub; A_eq]`` constraint matrix.
 
-A subset solve then *slices* those templates with numpy, producing byte-
-for-byte the same CSC arrays scipy's own pipeline would build for
-``max_concurrent_flow(network.restricted_to_links(subset), tm)``, and
-hands them straight to HiGHS via scipy's private ``_highs_wrapper`` —
-the identical solver entry point ``linprog(method="highs")`` bottoms out
-in, with the identical options dictionary.  Identical inputs to the same
-deterministic solver give identical outputs, so warm solves are
-*bit-identical* to cold ones; ``tests/property/test_prop_warm_mcf.py``
-asserts this over hundreds of seeded cases.
-
-Because scipy's ``_highs_wrapper`` is a private API, the fast path is
-best-effort: if the import shape ever changes, or ``REPRO_MCF_WARM=off``
-is set in the environment, every solve transparently falls back to the
-exact from-scratch path (on the sorted restricted subnet, so fallback
-and fast path agree bit-for-bit too).
+A subset solve then *slices* those templates with numpy and hands the
+CSC arrays straight to HiGHS through scipy's bundled bindings
+(``scipy.optimize._highspy._core``, shipped since scipy 1.15, the floor
+in ``pyproject.toml``) with the options ``linprog(method="highs")`` uses.
+The arrays are byte-for-byte what ``linprog`` would build from scratch
+for ``network.restricted_to_links(subset)``, and HiGHS is deterministic,
+so the two agree bit for bit: ``tests/property/test_prop_warm_mcf.py``
+asserts this over 200 seeded cases against the from-scratch ``linprog``
+reference kept in ``tests/netflow/reference_mcf.py``.  Skipping
+``linprog``'s front end (input validation, bounds canonicalization,
+COO→CSR→vstack→CSC conversion) matters: profiling showed that wrapper
+overhead dwarfing the HiGHS runtime roughly 4:1 at micro scale.
 
 :class:`ModelCache` keys models by *content* (node order, sorted link
 attributes, TM entries, λ-cap) rather than object identity, so freshly
@@ -45,33 +37,24 @@ inherit the parent's warmed cache read-only.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
+import scipy.optimize._highspy._core as _h  # type: ignore
+from scipy.optimize._highspy._core import (  # type: ignore
+    HighsDebugLevel,
+    kHighsInf,
+    simplex_constants as _simplex_constants,
+)
+from scipy.optimize._linprog_highs import _highs_to_scipy_status_message  # type: ignore
+from scipy.optimize._linprog_util import _check_result  # type: ignore
 
 from repro.exceptions import UnknownLinkError
 from repro.obs import metrics, span
-from repro.netflow.mcf import LAMBDA_CAP, MCFResult, _finish_result, max_concurrent_flow
+from repro.netflow.mcf import LAMBDA_CAP, MCFResult, _finish_result
 from repro.topology.graph import Network
 from repro.traffic.matrix import TrafficMatrix
-
-try:  # pragma: no cover - exercised indirectly by every warm solve
-    import scipy.optimize._highspy._core as _h  # type: ignore
-    from scipy.optimize._highspy._core import (  # type: ignore
-        HighsDebugLevel,
-        kHighsInf,
-        simplex_constants as _simplex_constants,
-    )
-    from scipy.optimize._linprog_highs import _highs_to_scipy_status_message  # type: ignore
-    from scipy.optimize._linprog_util import _check_result  # type: ignore
-
-    _FAST_PATH_AVAILABLE = True
-except Exception:  # pragma: no cover - environment without scipy internals
-    _FAST_PATH_AVAILABLE = False
-    _h = None
-    kHighsInf = float("inf")
 
 _HIGHS_OPTIONS_OBJ = None
 
@@ -84,8 +67,8 @@ def _highs_options():
     resulting ``HighsOptions`` contents are constant, so build the object
     once per process.  ``Highs.passOptions`` copies it, and each solve
     uses a fresh ``Highs`` instance, so no solver state (e.g. a previous
-    basis) can leak between solves — that is what keeps warm solves
-    bit-identical to cold ones.
+    basis) can leak between solves — that is what keeps a subset's
+    answer independent of what the model solved before.
     """
     global _HIGHS_OPTIONS_OBJ
     if _HIGHS_OPTIONS_OBJ is None:
@@ -167,11 +150,6 @@ def _run_highs(c, indptr, indices, data, lhs, rhs, lb, ub):
     )
     return res
 
-#: Environment kill-switch: set REPRO_MCF_WARM=off to force every solve
-#: through the from-scratch ``linprog`` path (results are identical; this
-#: exists for triage and for the byte-identity test itself).
-_KILL_SWITCH_ENV = "REPRO_MCF_WARM"
-
 #: Relative demand margin for the cut-capacity short circuit.  The LP
 #: calls a subset feasible when λ >= 1 - 1e-7; the short circuit only
 #: answers "infeasible" when the structural bound λ* <= cap/demand sits
@@ -180,19 +158,14 @@ _KILL_SWITCH_ENV = "REPRO_MCF_WARM"
 _CUT_MARGIN = 1e-4
 
 
-def _warm_enabled() -> bool:
-    return os.environ.get(_KILL_SWITCH_ENV, "").lower() not in ("off", "0", "no", "false")
-
-
 class McfModel:
     """A reusable max-concurrent-flow LP over one (network, TM) pair.
 
-    ``solve(link_ids)`` answers the same question as
+    ``solve(link_ids)`` answers
     ``max_concurrent_flow(network.restricted_to_links(link_ids), tm)``
-    — bit-identically — without re-deriving any of the subset-independent
-    structure.  Results are memoized per subset, so oracles, auction
-    rounds, and sweep trials sharing one model never pay for the same
-    subset twice.
+    without re-deriving any of the subset-independent structure.
+    Results are memoized per subset, so oracles, auction rounds, and
+    sweep trials sharing one model never pay for the same subset twice.
     """
 
     def __init__(
@@ -211,7 +184,6 @@ class McfModel:
         self._memo: "OrderedDict[Tuple[FrozenSet[str], bool], MCFResult]" = OrderedDict()
         self.memo_hits = 0
         self.solves = 0
-        self.fallback_solves = 0
         self.cut_shortcircuits = 0
 
         demands = [(pair, v) for pair, v in tm.pairs() if v > 0]
@@ -230,7 +202,8 @@ class McfModel:
 
         with span("mcf.model_build", links=n_links, sources=self._n_src, nodes=self._n_nodes):
             # Directed arcs in sorted-link, forward-then-reverse order: the
-            # exact order _directed_arcs() yields on a restricted subnet.
+            # canonical order, and the one a from-scratch LP over a
+            # restricted subnet (whose links are id-sorted) would use.
             self._arc_meta: List[Tuple[str, str, str, float, float]] = []
             for link in links:
                 self._arc_meta.append(
@@ -250,11 +223,8 @@ class McfModel:
             self._arc_val_lo = np.empty(n_arcs)
             self._arc_val_hi = np.empty(n_arcs)
             self._arc_cap = np.empty(n_arcs)
-            self._has_self_loop = False
             for a, (_aid, tail, head, cap, _length) in enumerate(self._arc_meta):
                 ti, hi = node_idx[tail], node_idx[head]
-                if ti == hi:
-                    self._has_self_loop = True
                 self._arc_cap[a] = cap
                 if ti <= hi:
                     self._arc_row_lo[a], self._arc_val_lo[a] = ti, 1.0
@@ -299,11 +269,7 @@ class McfModel:
         *,
         keep_flows: bool = False,
     ) -> MCFResult:
-        """Max concurrent flow of the TM over ``link_ids`` (default: all).
-
-        Bit-identical to
-        ``max_concurrent_flow(network.restricted_to_links(link_ids), tm)``.
-        """
+        """Max concurrent flow of the TM over ``link_ids`` (default: all)."""
         key = self._link_set if link_ids is None else frozenset(link_ids)
         missing = key - self._link_set
         if missing:
@@ -386,15 +352,6 @@ class McfModel:
             return MCFResult(lam=self.lambda_cap, feasible=True, status=0, message="empty TM")
         if not key:
             return MCFResult(lam=0.0, feasible=False, status=2, message="no links")
-        if not (_FAST_PATH_AVAILABLE and _warm_enabled()) or self._has_self_loop:
-            self.fallback_solves += 1
-            metrics().inc("mcf.fallback_solves")
-            return max_concurrent_flow(
-                self.network.restricted_to_links(key),
-                self.tm,
-                lambda_cap=self.lambda_cap,
-                keep_flows=keep_flows,
-            )
         return self._solve_fast(key, keep_flows)
 
     def _solve_fast(self, key: FrozenSet[str], keep_flows: bool) -> MCFResult:
@@ -404,8 +361,8 @@ class McfModel:
         (``_clean_inputs`` → vstack → ``csc_array``) would produce for the
         restricted subnet: same canonical column order (arc-major,
         source-minor, λ last), same ascending rows per column, same float
-        values.  HiGHS is deterministic, so the solution bytes match the
-        from-scratch path.
+        values.  HiGHS is deterministic, so the solution bytes match a
+        from-scratch ``linprog`` solve of the same subnet.
         """
         link_positions = self._positions(key)
         n_src = self._n_src
@@ -452,7 +409,6 @@ class McfModel:
 
         with span("mcf.solve", variables=n_x + 1):
             metrics().inc("mcf.solves")
-            metrics().inc("mcf.warm_solves")
             res = _run_highs(c, indptr, indices, data, lhs, rhs, lb, ub)
 
         status, message = _highs_to_scipy_status_message(

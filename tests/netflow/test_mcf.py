@@ -147,3 +147,36 @@ class TestConvenience:
         res = max_concurrent_flow(tiny_zoo.offered, tm)
         assert res.feasible
         assert res.lam > 1.0
+
+    def test_result_independent_of_link_insertion_order(self, tiny_zoo):
+        """Arcs follow sorted link ids, so insertion order cannot leak.
+
+        A copy of the tiny zoo's offered network with its links inserted
+        in shuffled order must give the same bytes as the id-sorted one:
+        the LP is the same problem, and a different arc order would let
+        HiGHS round λ differently or return another degenerate optimum.
+        """
+        import numpy as np
+
+        from repro.experiments.pipeline import traffic_for_zoo
+
+        offered = tiny_zoo.offered
+        tm = traffic_for_zoo(tiny_zoo)
+        id_sorted = offered.restricted_to_links(offered.link_ids)
+        links = sorted(offered.iter_links(), key=lambda link: link.id)
+        order = np.random.default_rng(7).permutation(len(links))
+        shuffled = Network(name="shuffled")
+        for node_id in offered.node_ids:
+            shuffled.add_node(offered.node(node_id))
+        for i in order:
+            shuffled.add_link(links[int(i)])
+        assert [link.id for link in shuffled.iter_links()] != [
+            link.id for link in links
+        ]
+
+        want = max_concurrent_flow(id_sorted, tm, keep_flows=True)
+        got = max_concurrent_flow(shuffled, tm, keep_flows=True)
+        assert got.lam == want.lam
+        assert got.flow_km == want.flow_km
+        assert got.link_loads == want.link_loads
+        assert got.arc_flows == want.arc_flows

@@ -1,24 +1,21 @@
 """Regression tests for the warm-started MCF model and its caches.
 
 Complements ``tests/property/test_prop_warm_mcf.py`` (the 200-case
-byte-identity sweep) with targeted checks: memo/state isolation between
-subsets, the kill switch, the cut short circuit's soundness, and the
-process-wide content-addressed model cache.
+byte-identity sweep) with targeted checks: agreement with the
+from-scratch reference LP, memo/state isolation between subsets, the cut
+short circuit's soundness, and the process-wide content-addressed model
+cache.
 """
 
 import pytest
 
 from repro.exceptions import UnknownLinkError
-from repro.netflow.mcf import LAMBDA_CAP, max_concurrent_flow, mcf_feasible
-from repro.netflow.model import (
-    _KILL_SWITCH_ENV,
-    McfModel,
-    ModelCache,
-    get_model,
-    model_cache,
-)
+from repro.netflow.mcf import LAMBDA_CAP, mcf_feasible
+from repro.netflow.model import McfModel, ModelCache, get_model, model_cache
 from repro.topology.graph import Link, Network, Node
 from repro.traffic.matrix import TrafficMatrix
+
+from tests.netflow.reference_mcf import reference_max_concurrent_flow
 
 
 def diamond_network():
@@ -45,7 +42,7 @@ class TestSolveApi:
     def test_default_solves_full_network(self):
         net, tm = diamond_network(), diamond_tm()
         model = McfModel(net, tm)
-        cold = max_concurrent_flow(net.restricted_to_links(net.link_ids), tm)
+        cold = reference_max_concurrent_flow(net.restricted_to_links(net.link_ids), tm)
         warm = model.solve()
         assert warm.lam == cold.lam
         assert warm.link_loads == cold.link_loads
@@ -73,7 +70,7 @@ class TestSolveApi:
         net, tm = diamond_network(), diamond_tm()
         subset = frozenset({"AB", "BC", "CD", "DA"})
         warm = McfModel(net, tm).solve(subset, keep_flows=True)
-        cold = max_concurrent_flow(
+        cold = reference_max_concurrent_flow(
             net.restricted_to_links(subset), tm, keep_flows=True
         )
         assert warm.arcs == cold.arcs
@@ -127,26 +124,6 @@ class TestMemoIsolation:
         assert model.solves == solves_before + 1
 
 
-class TestKillSwitch:
-    def test_kill_switch_forces_fallback(self, monkeypatch):
-        monkeypatch.setenv(_KILL_SWITCH_ENV, "off")
-        net, tm = diamond_network(), diamond_tm()
-        model = McfModel(net, tm)
-        result = model.solve({"AB", "BC", "CD", "DA"})
-        assert model.fallback_solves == 1
-        cold = max_concurrent_flow(
-            net.restricted_to_links({"AB", "BC", "CD", "DA"}), tm
-        )
-        assert result.lam == cold.lam
-        assert result.message == cold.message
-
-    def test_warm_path_used_by_default(self):
-        model = McfModel(diamond_network(), diamond_tm())
-        model.solve()
-        assert model.fallback_solves == 0
-        assert model.solves == 1
-
-
 class TestCutShortCircuit:
     def test_short_circuit_fires_and_is_sound(self):
         """Dropping C's cheap incident cut must trip the egress test."""
@@ -160,7 +137,9 @@ class TestCutShortCircuit:
         assert not model.feasible(subset)
         assert model.cut_shortcircuits == 1
         # Soundness: the LP agrees.
-        assert not max_concurrent_flow(net.restricted_to_links(subset), tm).feasible
+        assert not reference_max_concurrent_flow(
+            net.restricted_to_links(subset), tm
+        ).feasible
 
     def test_short_circuit_never_fires_on_feasible_subsets(self):
         net, tm = diamond_network(), diamond_tm()

@@ -85,8 +85,7 @@ class TestWorkerIndependence:
         # from; the warm model caches are per process, so serial and
         # pool layouts may split the same queries differently.
         locality = {
-            "mcf.solves", "mcf.warm_solves", "mcf.fallback_solves",
-            "mcf.memo_hits", "mcf.cut_shortcircuits",
+            "mcf.solves", "mcf.memo_hits", "mcf.cut_shortcircuits",
             "mcf.model_cache_hits", "mcf.model_cache_misses",
         }
 

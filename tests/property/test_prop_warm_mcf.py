@@ -2,8 +2,8 @@
 
 The contract of :class:`repro.netflow.model.McfModel` is absolute: for
 any (topology, TM, dropped-link subset), the warm path must return the
-*same floats* as building the LP from scratch with
-:func:`repro.netflow.mcf.max_concurrent_flow` on the restricted network
+*same floats* as building the LP from scratch with ``linprog`` on the
+restricted network (the reference in ``tests/netflow/reference_mcf.py``)
 — not approximately, bit for bit.  These tests sweep 200 seeded cases
 (random topologies, random TMs, random surviving-link subsets) and
 compare every field of the result with ``==``.
@@ -12,10 +12,11 @@ compare every field of the result with ``==``.
 import numpy as np
 import pytest
 
-from repro.netflow.mcf import max_concurrent_flow
 from repro.netflow.model import McfModel
 from repro.topology.graph import Link, Network, Node
 from repro.traffic.matrix import TrafficMatrix
+
+from tests.netflow.reference_mcf import reference_max_concurrent_flow
 
 N_CASES = 200
 
@@ -83,7 +84,7 @@ class TestWarmColdByteIdentity:
         model = McfModel(net, tm)
         keep_flows = seed % 5 == 0  # routing detail on every fifth case
         warm = model.solve(subset, keep_flows=keep_flows)
-        cold = max_concurrent_flow(
+        cold = reference_max_concurrent_flow(
             net.restricted_to_links(subset), tm, keep_flows=keep_flows
         )
         _assert_identical(warm, cold)
@@ -104,7 +105,7 @@ class TestWarmColdByteIdentity:
         net, tm, subset = _random_case(seed)
         model = McfModel(net, tm)
         verdict = model.feasible(subset)
-        exact = max_concurrent_flow(net.restricted_to_links(subset), tm)
+        exact = reference_max_concurrent_flow(net.restricted_to_links(subset), tm)
         assert verdict == exact.feasible
 
 

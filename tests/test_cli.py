@@ -364,6 +364,48 @@ class TestServeCommand:
         assert snap.health == "healthy"
 
 
+    def test_heartbeat_survives_a_full_queue(self, capsys):
+        """Regression: the heartbeat must not go through admission control.
+
+        With the queue full, a "health" probe is shed with an empty
+        payload; reading ``version`` from it raised ``KeyError`` and
+        killed the daemon.  The heartbeat now reads the published
+        snapshot, so it takes no queue slot and sheds nothing.
+        """
+        import argparse
+        import asyncio
+
+        from repro.cli import _serve_until_drained
+        from repro.service import ServiceConfig, WallClock
+
+        from tests.service.conftest import make_service
+
+        service = make_service(
+            clock=WallClock(),
+            config=ServiceConfig(queue_limit=1, batch_max=1,
+                                 batch_overhead_s=0.3, default_deadline_s=5.0),
+        )
+        args = argparse.Namespace(heartbeat=0.05, duration=0.2, checkpoint=None)
+
+        async def scenario():
+            await service.start()
+            first = service.submit("health")
+            await asyncio.sleep(0)  # the worker takes it and sleeps 0.3 s
+            queued = service.submit("health")  # fills the one-slot queue
+            shed = service.submit("health")
+            assert shed.done() and shed.result().status == "overloaded"
+            await _serve_until_drained(service, args)
+            return await asyncio.gather(first, queued)
+
+        served = asyncio.run(scenario())
+        assert [r.status for r in served] == ["ok", "ok"]
+        out = capsys.readouterr().out
+        assert "  v1 healthy  served=" in out
+        assert "breaker=closed" in out
+        assert service.stats["overloaded"] == 1  # only the deliberate shed
+        assert "drained at snapshot v1" in out
+
+
 class TestLoadgenCommand:
     def test_campaign_reports_and_exits_zero(self, capsys):
         assert main([
