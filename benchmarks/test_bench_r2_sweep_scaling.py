@@ -2,12 +2,14 @@
 
 A 32-trial Figure-2 grid (micro workload, 32 seeds) is swept three
 ways: serially in-process, on a 4-worker process pool, and a second
-time against a populated result store.  The bench asserts the sweep
-engine's two contracts — the aggregate report is *byte-identical*
-however the work is spread, and a re-run against the store executes
-nothing — and reports the honest wall-clock numbers.  The parallel
+time against a populated result store.  An untimed serial run warms the
+parent first, so both timed arms start from warm caches.  The bench
+asserts the sweep engine's two contracts — the aggregate report is
+*byte-identical* however the work is spread, and a re-run against the
+store executes nothing — and reports the honest wall-clock numbers.  The parallel
 speedup floor is asserted only where the hardware can express it
-(>= 4 cores); the cache speedup holds everywhere.
+(>= 4 cores in this process's CPU affinity mask); the cache speedup
+holds everywhere.
 
 Warm-kernel before/after (8-trial figure2 micro grid, serial, 1-core
 container, 2026-08-08; "before" measured on the pre-warm-kernel tree
@@ -52,7 +54,16 @@ def timed_run(**runner_kwargs):
     return time.perf_counter() - start, result
 
 
+def visible_cores():
+    """Cores this process may run on (what a pool can actually use)."""
+    return len(os.sched_getaffinity(0))
+
+
 def test_bench_r2_sweep_scaling(benchmark, report, tmp_path):
+    # One untimed serial run warms this process's caches (workload memo,
+    # LP model cache), so the timed serial arm and the pool — whose fork
+    # workers inherit the warm parent — start from the same state.
+    timed_run(workers=0)
     serial_s, serial = timed_run(workers=0)
     pool_s, pooled = benchmark.pedantic(
         lambda: timed_run(workers=WORKERS), rounds=1, iterations=1
@@ -68,7 +79,7 @@ def test_bench_r2_sweep_scaling(benchmark, report, tmp_path):
     report(
         "\n".join([
             f"grid: {TRIALS} figure2 trials (micro workload), "
-            f"{os.cpu_count()} cores visible",
+            f"{visible_cores()} cores visible",
             f"{'serial':<18}{serial_s:>8.2f}s",
             f"{'pool ({} workers)'.format(WORKERS):<18}{pool_s:>8.2f}s"
             f"   speedup {speedup:4.2f}x",
@@ -94,7 +105,7 @@ def test_bench_r2_sweep_scaling(benchmark, report, tmp_path):
     assert cache_speedup >= 2.5
 
     # Contract 3: parallel scaling, where the hardware can express it.
-    if (os.cpu_count() or 1) >= WORKERS:
+    if visible_cores() >= WORKERS:
         assert speedup >= 2.5
 
 

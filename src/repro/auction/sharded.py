@@ -699,9 +699,17 @@ def clear_sharded_spec(
     }
     missing = [r for r in partition.regions if r not in by_label]
     if missing:
-        raise AuctionError(
-            f"parallel clear lost region sub-markets: {missing}"
-        )
+        # The pool is supervised, so a failed region comes back
+        # quarantined; its ledger entry carries the cause.
+        causes = {
+            str(entry["params"]["region"]): (
+                f"{entry['kind']}: "
+                f"{str(entry['traceback']).strip().splitlines()[-1]}"
+            )
+            for entry in result.quarantined
+        }
+        lost = "; ".join(f"{region} ({causes[region]})" for region in missing)
+        raise AuctionError(f"parallel clear lost region sub-markets: [{lost}]")
     _by_region, cross_offers = split_offers(offers, partition)
     _intra, cross_pairs = split_traffic(tm, partition)
     stitch = _stitch_clear(

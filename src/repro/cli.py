@@ -1301,7 +1301,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--root-seed", type=int, default=0,
                       help="root seed that per-trial seeds derive from")
     p_sw.add_argument("--workers", type=int, default=0,
-                      help="process-pool size; 0 or 1 runs serially")
+                      help="supervised process-pool size; 0 or 1 runs "
+                           "serially")
     p_sw.add_argument("--start-method", default=None,
                       choices=("fork", "spawn", "forkserver"),
                       help="multiprocessing start method (default: platform)")
@@ -1324,8 +1325,8 @@ def make_parser() -> argparse.ArgumentParser:
                       help="per-trial wall-clock deadline in seconds; implies "
                            "supervised execution (watchdog + quarantine)")
     p_sw.add_argument("--supervised", action="store_true",
-                      help="run under the trial supervisor even without a "
-                           "timeout (crash respawn + poison quarantine)")
+                      help="supervise a serial sweep too (poison quarantine "
+                           "instead of fail-fast); pools always are")
     p_sw.add_argument("--validate", default="off",
                       choices=("off", "warn", "quarantine", "strict"),
                       help="invariant suite over every result: warn journals "

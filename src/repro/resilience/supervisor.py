@@ -268,13 +268,19 @@ def _worker_main(
 
         signal.signal(signal.SIGALRM, _on_alarm)
 
+    def beat(payload: Dict[str, object]) -> None:
+        # Heartbeats are read only by the watchdog, which runs only under
+        # a deadline; without one, skip the per-trial file writes.
+        if trial_timeout_s is not None:
+            _write_heartbeat(heartbeat_path, payload)
+
     while True:
         task = task_queue.get()
         if task is None:
-            _write_heartbeat(heartbeat_path, {"pid": os.getpid(), "busy": False})
+            beat({"pid": os.getpid(), "busy": False})
             break
         index, _params, _seed, key = task
-        _write_heartbeat(heartbeat_path, {
+        beat({
             "pid": os.getpid(), "busy": True, "index": index, "key": key,
             # Elapsed-time math uses the monotonic stamp (CLOCK_MONOTONIC is
             # shared across processes on the same boot, so the parent's
@@ -313,7 +319,7 @@ def _worker_main(
         else:
             elapsed = time.monotonic() - started
             result_queue.put(("result", worker_id, index, record, elapsed))
-        _write_heartbeat(heartbeat_path, {"pid": os.getpid(), "busy": False})
+        beat({"pid": os.getpid(), "busy": False})
 
 
 # -- parent side --------------------------------------------------------------
@@ -640,7 +646,11 @@ class TrialSupervisor:
     # -- pooled supervised execution ------------------------------------------
 
     def _spawn_worker(self, ctx, worker_id: int, result_queue, hb_dir: str) -> _Worker:
-        task_queue = ctx.Queue()
+        # Only the parent writes a worker's task queue, at most one task
+        # (and the sentinel) at a time, and a task is a small grid point,
+        # far below a pipe's buffer; so a plain pipe write never blocks and
+        # needs no feeder thread to start per worker or wake per dispatch.
+        task_queue = ctx.SimpleQueue()
         heartbeat_path = os.path.join(hb_dir, f"worker-{worker_id}.hb")
         process = ctx.Process(
             target=_worker_main,
@@ -853,7 +863,7 @@ class TrialSupervisor:
                 self._workers = {}
             for worker in workers.values():
                 try:
-                    worker.task_queue.put_nowait(None)
+                    worker.task_queue.put(None)
                 except Exception:
                     pass
             for worker in workers.values():

@@ -1,18 +1,22 @@
-"""Process-pool sweep execution with deterministic sharding and caching.
+"""Sweep execution with deterministic reassembly and caching.
 
 The runner turns a :class:`~repro.sweeps.spec.SweepSpec` into trial
 results through four steps:
 
 1. resolve every trial's parameters (experiment defaults ∪ grid point)
    and its content-addressed key;
-2. partition the trials *not* already in the result store into
-   round-robin shards (trial ``i`` → shard ``i mod workers``) — a pure
-   function of the pending list, never of scheduling;
-3. execute each shard, serially in-process (``workers <= 1``) or on a
-   ``ProcessPoolExecutor``; workers receive the experiment *name* and
-   look the trial function up in the registry, so both fork and spawn
-   start methods work; each trial is wrapped in the bounded-retry policy
-   from :mod:`repro.resilience.policy`;
+2. collect the trials *not* already in the result store (or the
+   quarantine ledger) as the pending list, and warm the parent's
+   per-process caches for them once;
+3. execute the pending trials, serially in-process (``workers <= 1``,
+   the fail-fast reference execution) or under the
+   :class:`~repro.resilience.supervisor.TrialSupervisor`, which hands
+   one trial at a time to each worker, respawns crashed workers and
+   quarantines poison trials; a pool is always supervised.  Workers
+   receive the experiment *name* and look the trial function up in the
+   registry, so both fork and spawn start methods work; each trial is
+   wrapped in the bounded-retry policy from
+   :mod:`repro.resilience.policy`;
 4. append each result to the store as it lands in the parent (single
    writer by construction, so an interrupted sweep keeps everything that
    finished) and reassemble all results in trial order, so aggregates
@@ -176,9 +180,10 @@ def _run_trial_with_retry(
 ) -> Tuple[int, Dict[str, object]]:
     """Execute one trial under the bounded-retry policy.
 
-    Runs in the worker process.  Failures that survive the retries are
-    re-raised as :class:`SweepError` (always picklable) naming the trial,
-    so the parent can report which grid point is broken.
+    Runs in-process for a serial sweep and inside each supervisor worker
+    for a pool.  Failures that survive the retries are re-raised as
+    :class:`SweepError` naming the trial, so the report (or the
+    quarantine traceback) says which grid point is broken.
     """
     index, params, seed, key = task
     exp = get_experiment(experiment_name)
@@ -214,54 +219,28 @@ def _run_trial_with_retry(
     return index, dict(record)
 
 
-def _execute_shard(
-    experiment_name: str, shard: List[TrialTask], retry: RetryPolicy
-) -> List[Tuple[int, Dict[str, object]]]:
-    """Worker entry point: run one shard's trials sequentially."""
-    return [_run_trial_with_retry(experiment_name, task, retry) for task in shard]
-
-
-def _prewarm_worker(
-    experiment_name: str, param_sets: List[Dict[str, object]]
-) -> None:
-    """Pool initializer: warm per-process caches in a fresh worker.
-
-    Spawn-started workers begin with cold caches (fork-started ones
-    inherit the parent's warm state, and re-warming is then a cheap
-    cache hit).  Prewarming is an optimization, never a correctness
-    dependency, so any failure is swallowed — the trial itself will
-    rebuild whatever is missing.
-    """
-    try:
-        exp = get_experiment(experiment_name)
-        if exp.prewarm is None:
-            return
-        for params in param_sets:
-            exp.prewarm(params)
-    except Exception:
-        pass
-
-
 class SweepRunner:
     """Executes sweeps for one registered experiment.
 
     ``workers <= 1`` runs serially in-process (bit-for-bit the reference
-    execution); ``workers > 1`` uses a process pool with the given
+    execution; the first failed trial raises :class:`SweepError`);
+    ``workers > 1`` runs a :class:`TrialSupervisor` pool with the given
     multiprocessing start method (``None`` = platform default).  A
     :class:`ResultStore` (or a path to one) enables content-addressed
     caching; a :class:`PipelineCheckpoint` pins the sweep's spec
     fingerprint so a resumed run cannot silently mix results from a
     different grid.
 
-    Supervision (``supervised=True``, implied by ``trial_timeout_s``)
-    routes execution through :class:`TrialSupervisor`: per-trial
-    deadlines, crashed-worker respawn, and poison-trial quarantine —
-    see :mod:`repro.resilience.supervisor`.  ``validation`` runs the
-    invariant suite (:mod:`repro.validate.invariants`) over every fresh
-    *and* cached record: ``warn`` journals violations, ``quarantine``
-    additionally keeps invalid results out of the store and the
-    outcomes, ``strict`` aborts the sweep with
-    :class:`InvariantViolation`.
+    Supervision — per-trial deadlines, crashed-worker respawn, and
+    poison-trial quarantine (see :mod:`repro.resilience.supervisor`) —
+    is implied by ``workers > 1`` or ``trial_timeout_s``;
+    ``supervised=True`` also supervises a serial sweep, and
+    ``supervised=False`` with ``workers > 1`` is rejected, since every
+    pool is supervised.  ``validation`` runs the invariant suite
+    (:mod:`repro.validate.invariants`) over every fresh *and* cached
+    record: ``warn`` journals violations, ``quarantine`` additionally
+    keeps invalid results out of the store and the outcomes, ``strict``
+    aborts the sweep with :class:`InvariantViolation`.
     """
 
     def __init__(
@@ -295,8 +274,15 @@ class SweepRunner:
         self.checkpoint = checkpoint
         self.on_progress = on_progress
         self.trial_timeout_s = trial_timeout_s
+        if supervised is False and workers > 1:
+            raise SweepError(
+                f"workers={workers} runs a supervised pool; supervised=False "
+                "is only valid for a serial sweep (workers <= 1)"
+            )
         self.supervised = (
-            supervised if supervised is not None else trial_timeout_s is not None
+            supervised
+            if supervised is not None
+            else trial_timeout_s is not None or workers > 1
         )
         self.validation = (
             ValidationPolicy(validation) if isinstance(validation, str) else validation
@@ -483,69 +469,22 @@ class SweepRunner:
             except Exception:
                 continue
 
-    def _execute_pending(
+    def _execute_serial(
         self, pending: List[TrialTask], cached: int, total: int, started: float
     ) -> Dict[int, Dict[str, object]]:
-        name = self.experiment.name
+        """Run the pending trials in-process, failing fast on the first error."""
         records: Dict[int, Dict[str, object]] = {}
-        prewarm_params = self._prewarm_param_sets(pending)
-        self._prewarm_parent(prewarm_params)
-        if self.workers <= 1:
-            for done, task in enumerate(pending, start=1):
-                index, record = _run_trial_with_retry(name, task, self.retry)
-                if self._admit(task, record):
-                    records[index] = record
-                    self._persist(task, record)
-                self._progress(SweepProgress(
-                    done=done, pending=len(pending), cached=cached,
-                    total=total, elapsed_s=time.monotonic() - started,
-                ))
-            return records
-
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor, as_completed
-        from concurrent.futures.process import BrokenProcessPool
-
-        n_shards = min(self.workers, len(pending))
-        shards = [pending[k::n_shards] for k in range(n_shards)]
-        context = (
-            multiprocessing.get_context(self.start_method)
-            if self.start_method
-            else None
-        )
-        by_index = {task[0]: task for task in pending}
-        done = 0
-        # Spawn-started workers warm their own caches on startup; with
-        # fork the initializer is a no-op-cheap cache hit on inherited
-        # state.
-        init_kwargs = (
-            {"initializer": _prewarm_worker, "initargs": (name, prewarm_params)}
-            if prewarm_params
-            else {}
-        )
-        try:
-            with ProcessPoolExecutor(
-                max_workers=n_shards, mp_context=context, **init_kwargs
-            ) as pool:
-                futures = [
-                    pool.submit(_execute_shard, name, shard, self.retry)
-                    for shard in shards
-                ]
-                for future in as_completed(futures):
-                    for index, record in future.result():
-                        if self._admit(by_index[index], record):
-                            records[index] = record
-                            self._persist(by_index[index], record)
-                        done += 1
-                    self._progress(SweepProgress(
-                        done=done, pending=len(pending), cached=cached,
-                        total=total, elapsed_s=time.monotonic() - started,
-                    ))
-        except BrokenProcessPool as exc:
-            raise SweepError(
-                f"worker pool died mid-sweep ({exc}); completed trials are "
-                "in the result store — re-run to resume from them"
-            ) from exc
+        for done, task in enumerate(pending, start=1):
+            index, record = _run_trial_with_retry(
+                self.experiment.name, task, self.retry
+            )
+            if self._admit(task, record):
+                records[index] = record
+                self._persist(task, record)
+            self._progress(SweepProgress(
+                done=done, pending=len(pending), cached=cached,
+                total=total, elapsed_s=time.monotonic() - started,
+            ))
         return records
 
     def _execute_supervised(
@@ -559,9 +498,6 @@ class SweepRunner:
         journal is folded into the runner's state before the
         :class:`~repro.exceptions.SweepInterrupted` propagates.
         """
-        # Fork-started supervisor workers inherit the warmed caches;
-        # spawn-started ones simply rebuild in the first trial.
-        self._prewarm_parent(self._prewarm_param_sets(pending))
         progress = {"done": 0}
 
         def on_result(
@@ -669,16 +605,16 @@ class SweepRunner:
             done=0, pending=len(pending), cached=len(cached_records),
             total=len(tasks), elapsed_s=time.monotonic() - started,
         ))
-        if not pending:
-            executed: Dict[int, Dict[str, object]] = {}
-        elif self.supervised:
-            executed = self._execute_supervised(
-                pending, len(cached_records), len(tasks), started
+        executed: Dict[int, Dict[str, object]] = {}
+        if pending:
+            # Fork-started workers inherit the warmed caches; spawn-started
+            # ones simply rebuild in their first trial.
+            self._prewarm_parent(self._prewarm_param_sets(pending))
+            execute = (
+                self._execute_supervised if self.supervised
+                else self._execute_serial
             )
-        else:
-            executed = self._execute_pending(
-                pending, len(cached_records), len(tasks), started
-            )
+            executed = execute(pending, len(cached_records), len(tasks), started)
 
         outcomes: List[TrialOutcome] = []
         for index, params, seed, key in tasks:

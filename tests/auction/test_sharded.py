@@ -1,9 +1,13 @@
 """Tests for region-sharded clearing and the cross-region stitch."""
 
+import functools
 import json
+import multiprocessing
 
 import pytest
 
+import repro.auction.sharded as sharded_mod
+import repro.sweeps.runner as runner_mod
 from repro.auction.bids import AdditiveCost, VolumeDiscountCost
 from repro.auction.constraints import make_constraint
 from repro.auction.provider import Offer
@@ -339,6 +343,32 @@ class TestContinentalSmoke:
         serial = clear_sharded_spec("smoke", seed=3, workers=0)
         parallel = clear_sharded_spec("smoke", seed=3, workers=2)
         assert serial.canonical_json() == parallel.canonical_json()
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="no fork"
+    )
+    def test_parallel_failure_names_region_and_cause(self, smoke, monkeypatch):
+        """A region that fails in the pool is quarantined; the error says why."""
+        real = sharded_mod.region_clear_record
+
+        def failing(params, seed):
+            if params["region"] == "eu":
+                raise AuctionError("injected eu sub-market failure")
+            return real(params, seed)
+
+        # Fork workers inherit both patches from this process.
+        monkeypatch.setattr(sharded_mod, "region_clear_record", failing)
+        monkeypatch.setattr(
+            runner_mod, "run_sweep",
+            functools.partial(runner_mod.run_sweep, start_method="fork"),
+        )
+        with pytest.raises(AuctionError) as exc:
+            clear_sharded_spec("smoke", seed=3, workers=2)
+        message = str(exc.value)
+        assert "lost region sub-markets" in message
+        assert "eu (failure: " in message
+        assert "injected eu sub-market failure" in message
+        assert "na (" not in message
 
     def test_canonical_json_is_valid_and_stable(self, smoke):
         result = clear_sharded_spec("smoke", seed=3)

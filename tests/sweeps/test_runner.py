@@ -165,6 +165,27 @@ class TestPoolExecution:
         wide = run_sweep("demo", demo_spec(n=2), workers=8, start_method="fork")
         assert wide.report_json() == serial.report_json()
 
+    @pytest.mark.skipif("fork" not in START_METHODS, reason="no fork")
+    def test_pool_quarantines_failed_trial_without_asking(self):
+        """A pool is always supervised: a failing trial is quarantined."""
+        pooled = run_sweep(
+            "demo", SweepSpec(axes=(Axis("scale", (-1.0, 1.0, 2.0)),)),
+            workers=2, start_method="fork",
+        )
+        assert [e["index"] for e in pooled.quarantined] == [0]
+        assert [e["kind"] for e in pooled.quarantined] == ["failure"]
+        assert [o.index for o in pooled.outcomes] == [1, 2]
+        assert "quarantined=1" in pooled.stats_line()
+        serial = run_sweep(
+            "demo", SweepSpec(axes=(Axis("scale", (1.0, 2.0)),))
+        )
+        assert pooled.report_json() == serial.report_json()
+
+    def test_unsupervised_pool_rejected(self):
+        with pytest.raises(SweepError) as exc:
+            SweepRunner("demo", workers=2, supervised=False)
+        assert "supervised" in str(exc.value)
+
 
 class TestCaching:
     def _spec(self, tmp_path, xs=(0, 1, 2, 3)):
@@ -461,7 +482,7 @@ class TestPrewarm:
         ]
         lines = _read_log(tmp_path / "prewarm.log")
         # The parent warmed each param set in both runs (serial + pooled
-        # pre-pool warm); worker initializers add their own lines.
+        # pre-pool warm); fork workers inherit that state and warm nothing.
         parent = [l for l in lines if l.startswith(f"{os.getpid()}:")]
         assert sorted(l.split(":")[1] for l in parent) == [
             "0", "0", "1", "1", "2", "2"
@@ -469,7 +490,7 @@ class TestPrewarm:
 
     @pytest.mark.skipif("fork" not in START_METHODS, reason="no fork")
     def test_builtin_experiments_still_poolable_without_prewarm(self):
-        """No prewarm hook → no initializer: the pool path is unchanged."""
+        """No prewarm hook → nothing to warm; the pool still matches serial."""
         serial = run_sweep("demo", demo_spec(n=2))
         pooled = run_sweep("demo", demo_spec(n=2), workers=2,
                            start_method="fork")
